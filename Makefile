@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/portfolio ./internal/serve ./internal/obsrv ./internal/absint
+	$(GO) test -race ./internal/shadow ./internal/interp ./internal/refcount ./internal/sched ./internal/telemetry ./internal/serve ./internal/obsrv ./internal/absint
 
 # verify is the gate for every change: build, go vet, the full test suite,
 # the race detector over the concurrency-bearing packages, and the
@@ -50,14 +50,12 @@ explore-smoke:
 
 # portfolio-smoke pins the worker-count-independence contract from the
 # shell: the same seeded exploration at 1, 2, and 8 workers must write
-# byte-identical JSON, across all three sharing topologies.
+# byte-identical JSON.
 portfolio-smoke:
 	@$(GO) run ./cmd/sharc explore -schedules 20 -seed 5 -workers 1 -json /tmp/shc-pf-1.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
 	for workers in 2 8; do \
-		for share in none local global; do \
-			$(GO) run ./cmd/sharc explore -schedules 20 -seed 5 -workers $$workers -share $$share -json /tmp/shc-pf-k.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
-			cmp /tmp/shc-pf-1.json /tmp/shc-pf-k.json || { echo "portfolio output diverges at workers=$$workers share=$$share"; exit 1; }; \
-		done; \
+		$(GO) run ./cmd/sharc explore -schedules 20 -seed 5 -workers $$workers -json /tmp/shc-pf-k.json internal/interp/testdata/racy_pair.shc > /dev/null 2>&1; \
+		cmp /tmp/shc-pf-1.json /tmp/shc-pf-k.json || { echo "portfolio output diverges at workers=$$workers"; exit 1; }; \
 	done
 	@echo "portfolio-smoke ok"
 

@@ -69,7 +69,6 @@ func main() {
 	exploreOut := flag.String("explore-out", "BENCH_explore.json", "output path for the exploration JSON")
 	pf := flag.Bool("portfolio", false, "measure portfolio-exploration scaling vs worker count and write BENCH_portfolio.json")
 	pfOut := flag.String("portfolio-out", "BENCH_portfolio.json", "output path for the portfolio-scaling JSON")
-	pfShare := flag.String("share", "local", "sharing topology for -portfolio: none, local, global")
 	obs := flag.Bool("obs", false, "measure telemetry overhead tiers and write BENCH_obs.json")
 	obsOut := flag.String("obs-out", "BENCH_obs.json", "output path for the telemetry-overhead JSON")
 	vm := flag.Bool("vm", false, "compare the tree walker against the register VM and write BENCH_vm.json")
@@ -303,7 +302,7 @@ func main() {
 	}
 
 	if *pf {
-		rep, err := bench.PortfolioTable(*schedules, *reps, *pfShare)
+		rep, err := bench.PortfolioTable(*schedules, *reps)
 		if err != nil {
 			fatal(err)
 		}

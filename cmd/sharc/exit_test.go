@@ -40,7 +40,7 @@ func TestExitFor(t *testing.T) {
 func TestValidateTable(t *testing.T) {
 	ok := func() cliFlags {
 		return cliFlags{
-			schedules: 100, strategy: "mix", workers: 1, share: "local",
+			schedules: 100, strategy: "mix", workers: 1,
 			top: 10, seed: 1, traceCap: 1024, engine: "auto",
 			addr: "127.0.0.1:7077", maxSessions: 4, queue: 64,
 			timeoutMS: 10000, cacheCap: 128, drainMS: 10000,
@@ -82,10 +82,6 @@ func TestValidateTable(t *testing.T) {
 		{"negative workers", "explore", func(f *cliFlags) { f.workers = -4 }, exitBadValue},
 		{"many workers valid", "explore", func(f *cliFlags) { f.workers = 64 }, 0},
 		{"workers rule is explore-only", "run", func(f *cliFlags) { f.seed = -1; f.workers = 0 }, 0},
-		{"bad share topology", "explore", func(f *cliFlags) { f.share = "ring" }, exitBadValue},
-		{"share none valid", "explore", func(f *cliFlags) { f.share = "none" }, 0},
-		{"share global valid", "explore", func(f *cliFlags) { f.share = "global" }, 0},
-		{"share rule is explore-only", "run", func(f *cliFlags) { f.seed = -1; f.share = "ring" }, 0},
 		{"zero top", "profile", func(f *cliFlags) { f.seed = 0; f.top = 0 }, exitBadValue},
 		{"top rule is profile-only", "explore", func(f *cliFlags) { f.top = 0 }, 0},
 		{"zero trace cap run", "run", func(f *cliFlags) { f.seed = -1; f.traceCap = 0 }, exitBadValue},

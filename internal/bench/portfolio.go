@@ -26,12 +26,12 @@ var PortfolioWorkerCounts = []int{1, 2, 4, 8}
 type PortfolioRow struct {
 	Name    string `json:"name"`
 	Workers int    `json:"workers"`
-	Share   string `json:"share"`
 
 	Schedules int `json:"schedules"`
 	// Duplicates is the static count of schedules whose strategy identity
-	// repeats an earlier one; Skipped is how many of those were discharged
-	// from a shared memo without executing.
+	// repeats an earlier one; Skipped is how many schedules were not
+	// executed, which equals Duplicates because every duplicate's row is
+	// copied from its primary at merge time.
 	Duplicates int     `json:"duplicates"`
 	Skipped    int     `json:"skipped"`
 	SkipRate   float64 `json:"skip_rate"` // skipped / schedules
@@ -56,7 +56,6 @@ type PortfolioReport struct {
 	NumCPU     int            `json:"num_cpu"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
 	Schedules  int            `json:"schedules"`
-	Share      string         `json:"share"`
 	Rows       []PortfolioRow `json:"rows"`
 }
 
@@ -71,7 +70,7 @@ func findingSet(sum *interp.ExploreSummary) string {
 }
 
 // RunPortfolio measures one racy benchmark across the worker-count sweep.
-func RunPortfolio(b *RacyBenchmark, schedules, reps int, share string) ([]PortfolioRow, error) {
+func RunPortfolio(b *RacyBenchmark, schedules, reps int) ([]PortfolioRow, error) {
 	prog, err := build(b.Source(), compile.DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("%s (build): %w", b.Name, err)
@@ -91,7 +90,7 @@ func RunPortfolio(b *RacyBenchmark, schedules, reps int, share string) ([]Portfo
 			start := time.Now()
 			sum = interp.Explore(prog, interp.DefaultConfig(), interp.ExploreOptions{
 				Schedules: schedules, Strategy: "mix", Seed: 1,
-				Workers: workers, Share: share,
+				Workers: workers,
 			})
 			return time.Since(start), nil
 		})
@@ -101,7 +100,6 @@ func RunPortfolio(b *RacyBenchmark, schedules, reps int, share string) ([]Portfo
 		row := PortfolioRow{
 			Name:       b.Name,
 			Workers:    workers,
-			Share:      sum.Share,
 			Schedules:  sum.Schedules,
 			Duplicates: sum.Duplicates,
 			Skipped:    sum.SkippedExecutions,
@@ -133,15 +131,14 @@ func RunPortfolio(b *RacyBenchmark, schedules, reps int, share string) ([]Portfo
 }
 
 // PortfolioTable measures every racy benchmark.
-func PortfolioTable(schedules, reps int, share string) (PortfolioReport, error) {
+func PortfolioTable(schedules, reps int) (PortfolioReport, error) {
 	rep := PortfolioReport{
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Schedules:  schedules,
-		Share:      share,
 	}
 	for i := range RacyBenchmarks {
-		rows, err := RunPortfolio(&RacyBenchmarks[i], schedules, reps, share)
+		rows, err := RunPortfolio(&RacyBenchmarks[i], schedules, reps)
 		if err != nil {
 			return rep, err
 		}
@@ -153,8 +150,8 @@ func PortfolioTable(schedules, reps int, share string) (PortfolioReport, error) 
 // FormatPortfolio renders the scaling table.
 func FormatPortfolio(rep PortfolioReport) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "host: %d CPU(s), GOMAXPROCS=%d, share=%s, %d schedules\n",
-		rep.NumCPU, rep.GOMAXPROCS, rep.Share, rep.Schedules)
+	fmt.Fprintf(&sb, "host: %d CPU(s), GOMAXPROCS=%d, %d schedules\n",
+		rep.NumCPU, rep.GOMAXPROCS, rep.Schedules)
 	fmt.Fprintf(&sb, "%-8s %7s %9s %9s %8s %5s %5s %6s %8s %6s %7s\n",
 		"Name", "Workers", "ms", "sched/s", "speedup", "eff", "dup", "skip", "first-ms", "finds", "match")
 	for _, r := range rep.Rows {

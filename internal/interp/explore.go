@@ -2,12 +2,12 @@ package interp
 
 // Portfolio schedule exploration: K concurrent explorer workers, each with
 // a fully instance-scoped stack (controller, strategy stream, runtime,
-// shadow state, telemetry instruments), coordinated through the pluggable
-// sharing layer in internal/portfolio.
+// shadow state, telemetry instruments), running disjoint shares of the
+// schedule budget.
 //
 // Determinism contract. The merged output is byte-identical for every
-// worker count and GOMAXPROCS value, because everything timing-dependent
-// is advisory:
+// worker count and GOMAXPROCS value, because nothing a worker does depends
+// on another worker:
 //
 //   - Schedule i's strategy is a pure function of (Strategy, Seed, i) and
 //     the calibration horizon, which is fixed by schedule 0 before any
@@ -15,18 +15,15 @@ package interp
 //     identities (name + seed) are equal — a static property computed up
 //     front — which makes their decision traces, reports, and decision
 //     counts equal by construction.
-//   - A worker reaching a duplicate first consults the sharing layer for
-//     the original's memo and skips execution when one is visible; when
-//     the memo has not propagated yet (racy by design in the global
-//     topology) it falls back to executing the schedule with throwaway
-//     instruments. Both paths yield the identical outcome row, and
-//     neither contributes telemetry or trace events, so the merged output
-//     cannot depend on which path was taken.
-//   - Shared violation sites may reorder a worker's remaining queue (PCT
-//     schedules are promoted once findings exist), never change what runs.
-//   - The merge stage canonicalizes by ascending schedule index: findings
-//     dedupe to their minimum schedule, counters sum, gauges take maxima,
-//     and trace events re-sequence by (schedule, emission order).
+//   - Only primaries (first occurrences) execute. They are dealt to the
+//     workers in ascending index order, so each worker's trace ring sees
+//     ascending schedules and the ring-tail merge matches the sequential
+//     window.
+//   - The merge stage canonicalizes by ascending schedule index: each
+//     duplicate's row is copied from its primary, findings dedupe to their
+//     minimum schedule, counters sum, gauges take maxima, and trace events
+//     re-sequence by (schedule, emission order). Duplicates contribute no
+//     telemetry, substrate stats, or trace events.
 
 import (
 	"fmt"
@@ -35,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/ir"
-	"repro/internal/portfolio"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/token"
@@ -52,14 +48,10 @@ type ExploreOptions struct {
 	// Seed perturbs the whole exploration; schedule i derives its own seed
 	// from (Seed, i).
 	Seed int64
-	// Workers is the number of concurrent explorer workers (default 1).
+	// Workers is the number of concurrent explorer workers (default 1,
+	// clamped to the number of schedules that execute after calibration).
 	// The merged output is identical for every worker count.
 	Workers int
-	// Share selects the cross-worker sharing topology: "none", "local"
-	// (default), or "global"; see portfolio.New. Unknown values fall back
-	// to "local" — callers wanting strict validation use
-	// portfolio.ValidKind first.
-	Share string
 }
 
 // ScheduleOutcome summarizes one explored schedule.
@@ -72,7 +64,7 @@ type ScheduleOutcome struct {
 	New      int    `json:"new"`
 	// Duplicate marks a schedule whose strategy identity repeats an
 	// earlier index: its results are equal to the original's by
-	// construction, and the portfolio may skip executing it.
+	// construction, so it is not executed and its row is copied.
 	Duplicate bool `json:"dup,omitempty"`
 }
 
@@ -91,7 +83,7 @@ type Finding struct {
 
 // ExploreSummary is the coverage report of an exploration run.
 type ExploreSummary struct {
-	Schedules int `json:"schedules"`
+	Schedules int   `json:"schedules"`
 	Decisions int64 `json:"decisions"`
 	// Duplicates counts schedules whose strategy identity repeated an
 	// earlier index (a static property of the strategy family and seed).
@@ -111,14 +103,10 @@ type ExploreSummary struct {
 
 	// Workers is the worker count the exploration actually used.
 	Workers int `json:"-"`
-	// Share is the sharing topology the exploration actually used.
-	Share string `json:"-"`
-	// SkippedExecutions counts duplicate schedules discharged from a
-	// shared memo without executing (≤ Duplicates; the rest of the
-	// duplicates re-executed because no memo was visible in time).
+	// SkippedExecutions counts schedules that were not executed. Every
+	// duplicate is copied from its primary at merge time, so it equals
+	// Duplicates by construction.
 	SkippedExecutions int `json:"-"`
-	// ShareStats reports the sharing layer's transport counters.
-	ShareStats portfolio.Stats `json:"-"`
 	// FirstFinding is the wall-clock time from the start of exploration to
 	// the first schedule observed with at least one report (0 if none).
 	FirstFinding time.Duration `json:"-"`
@@ -157,14 +145,6 @@ func exploreStrategy(kind string, seed int64, i int, horizon int64) sched.Strate
 	}
 }
 
-// pctSchedule reports whether schedule i of the strategy family is a PCT
-// schedule — the kind whose priority-demotion search benefits from knowing
-// which sites already produced findings, so workers promote these when the
-// sharing layer has sites.
-func pctSchedule(kind string, i int) bool {
-	return kind == "pct" || (kind == "mix" && (i%4 == 1 || i%4 == 2))
-}
-
 // schedResult is one schedule's contribution to the canonical merge.
 type schedResult struct {
 	name      string
@@ -172,10 +152,9 @@ type schedResult struct {
 	decisions int64
 	deadlock  bool
 	// reports are the schedule's reports in the runtime's deterministic
-	// emission order, in the engine-independent carrier form.
-	reports []portfolio.Finding
+	// emission order.
+	reports []Report
 	dup     bool
-	skipped bool // duplicate discharged from a memo without executing
 	// global holds the schedule's substrate gauges and counter totals
 	// (hasGlobal set); duplicates never contribute one.
 	global    telemetry.GlobalStats
@@ -194,68 +173,19 @@ type exploration struct {
 	prog    *ir.Program
 	cfg     Config
 	opt     ExploreOptions
-	info    []telemetry.SiteInfo
-	metrics bool
-	tracing bool
 	horizon int64
-
-	sharing portfolio.Sharing
+	metrics bool
 	results []schedResult
 
 	start        time.Time
 	firstFinding atomic.Int64 // nanoseconds since start; 0 = none yet
-	skipped      atomic.Int64
 }
 
-// carryReports converts a runtime's reports to the memo carrier form.
-func carryReports(reports []Report) []portfolio.Finding {
-	if len(reports) == 0 {
-		return nil
-	}
-	out := make([]portfolio.Finding, len(reports))
-	for i, r := range reports {
-		out[i] = portfolio.Finding{
-			Kind:     int(r.Kind),
-			KindName: r.Kind.String(),
-			File:     r.Pos.File,
-			Line:     r.Pos.Line,
-			Col:      r.Pos.Col,
-			Site:     fmt.Sprintf("%s:%d:%d", r.Pos.File, r.Pos.Line, r.Pos.Col),
-			Msg:      r.Msg,
-		}
-	}
-	return out
-}
-
-// distinctSites returns each report site once, in first-appearance order.
-func distinctSites(reports []portfolio.Finding) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, f := range reports {
-		if !seen[f.Site] {
-			seen[f.Site] = true
-			out = append(out, f.Site)
-		}
-	}
-	return out
-}
-
-// noteFindings stamps the time-to-first-finding clock and publishes the
-// schedule's violation sites.
-func (e *exploration) noteFindings(reports []portfolio.Finding) {
-	if len(reports) == 0 {
-		return
-	}
-	e.firstFinding.CompareAndSwap(0, int64(time.Since(e.start))+1)
-	e.sharing.PublishSites(distinctSites(reports))
-}
-
-// execute runs schedule i on a fresh runtime wired to ins (both fields may
-// be nil: a throwaway run) and returns the result row plus the recorded
-// decision trace.
-func (e *exploration) execute(i int, ins instruments, withGlobal bool) (schedResult, *sched.Trace) {
+// execute runs schedule i on a fresh runtime wired to the worker's
+// instruments and stores its result row.
+func (e *exploration) execute(i int, ins instruments) {
 	strat := exploreStrategy(e.opt.Strategy, e.opt.Seed, i, e.horizon)
-	ctl := sched.New(strat, sched.Options{Record: true})
+	ctl := sched.New(strat, sched.Options{})
 	c := e.cfg
 	c.Sched = ctl
 	c.Telemetry = ins.tel
@@ -276,97 +206,16 @@ func (e *exploration) execute(i int, ins instruments, withGlobal bool) (schedRes
 		seed:      strat.Seed(),
 		decisions: ctl.Decisions(),
 		deadlock:  ctl.Deadlocked(),
-		reports:   carryReports(rt.Reports()),
+		reports:   rt.Reports(),
 	}
-	if withGlobal {
+	if e.metrics {
 		res.global = rt.globalStats()
 		res.hasGlobal = true
 	}
-	return res, ctl.Trace()
-}
-
-// runPrimary executes a first-occurrence schedule with the worker's real
-// instruments and publishes its memo.
-func (e *exploration) runPrimary(i int, identity string, ins instruments, memos map[string]portfolio.Memo) {
-	res, tr := e.execute(i, ins, e.metrics)
-	m := portfolio.Memo{
-		Digest:    portfolio.DigestTrace(tr),
-		Decisions: res.decisions,
-		Deadlock:  res.deadlock,
-		Reports:   len(res.reports),
-		Findings:  res.reports,
+	if len(res.reports) > 0 {
+		e.firstFinding.CompareAndSwap(0, int64(time.Since(e.start))+1)
 	}
-	memos[identity] = m
-	e.sharing.Publish(identity, m)
-	e.noteFindings(res.reports)
 	e.results[i] = res
-}
-
-// runDuplicate discharges schedule i, a duplicate of an earlier index,
-// from a memo when one is visible, re-executing with throwaway instruments
-// otherwise. Either way the result row is identical and no telemetry is
-// contributed.
-func (e *exploration) runDuplicate(i int, identity string, memos map[string]portfolio.Memo) {
-	m, ok := memos[identity]
-	if !ok {
-		m, ok = e.sharing.Lookup(identity)
-	}
-	if ok {
-		strat := exploreStrategy(e.opt.Strategy, e.opt.Seed, i, e.horizon)
-		e.results[i] = schedResult{
-			name:      strat.Name(),
-			seed:      strat.Seed(),
-			decisions: m.Decisions,
-			deadlock:  m.Deadlock,
-			reports:   m.Findings,
-			dup:       true,
-			skipped:   true,
-		}
-		e.skipped.Add(1)
-		e.noteFindings(m.Findings)
-		return
-	}
-	res, _ := e.execute(i, instruments{}, false)
-	res.dup = true
-	e.noteFindings(res.reports)
-	e.results[i] = res
-}
-
-// worker runs the ascending index queue, promoting PCT schedules to the
-// front once shared findings exist. Reordering is disabled while tracing:
-// the merged ring window is byte-identical to the sequential one only when
-// every worker appends in ascending schedule order.
-func (e *exploration) worker(queue []int, dupOf []int, identities []string, ins instruments, memos map[string]portfolio.Memo) {
-	promoted := e.tracing // already-promoted sentinel doubles as the disable flag
-	for n := 0; n < len(queue); n++ {
-		if !promoted && e.sharing.SiteCount() > 0 {
-			promoted = true
-			queue = promotePCT(queue[:n:n], queue[n:], e.opt.Strategy)
-		}
-		i := queue[n]
-		if dupOf[i] >= 0 {
-			e.runDuplicate(i, identities[i], memos)
-		} else {
-			e.runPrimary(i, identities[i], ins, memos)
-		}
-	}
-}
-
-// promotePCT stably partitions the remaining queue with PCT schedules
-// first, preserving ascending order within each class.
-func promotePCT(done, rest []int, kind string) []int {
-	out := done
-	for _, i := range rest {
-		if pctSchedule(kind, i) {
-			out = append(out, i)
-		}
-	}
-	for _, i := range rest {
-		if !pctSchedule(kind, i) {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Explore runs the program under opt.Schedules controlled schedules —
@@ -381,25 +230,41 @@ func Explore(prog *ir.Program, cfg Config, opt ExploreOptions) *ExploreSummary {
 	if opt.Strategy == "" {
 		opt.Strategy = "mix"
 	}
+
+	// Strategy identities are pure functions of (Strategy, Seed, index), so
+	// the duplicate structure of the whole exploration is static: dupOf[i]
+	// is the first earlier index with the same identity, or -1. Primaries
+	// after the calibration run form the work queue.
+	dupOf := make([]int, opt.Schedules)
+	first := make(map[string]int)
+	var queue []int
+	for i := range dupOf {
+		s := exploreStrategy(opt.Strategy, opt.Seed, i, 4096)
+		identity := fmt.Sprintf("%s|%d", s.Name(), s.Seed())
+		if j, ok := first[identity]; ok {
+			dupOf[i] = j
+			continue
+		}
+		dupOf[i] = -1
+		first[identity] = i
+		if i > 0 {
+			queue = append(queue, i)
+		}
+	}
+	if opt.Workers > len(queue) {
+		opt.Workers = len(queue)
+	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	if opt.Workers > opt.Schedules {
-		opt.Workers = opt.Schedules
-	}
-	if !portfolio.ValidKind(opt.Share) {
-		opt.Share = "local"
-	}
-	sharing, _ := portfolio.New(opt.Share, opt.Workers)
 
+	info := siteInfos(prog)
+	tracing := cfg.TraceCapacity > 0 || cfg.Tracer != nil
 	e := &exploration{
 		prog:    prog,
 		cfg:     cfg,
 		opt:     opt,
-		info:    siteInfos(prog),
 		metrics: cfg.Metrics || cfg.Telemetry != nil,
-		tracing: cfg.TraceCapacity > 0 || cfg.Tracer != nil,
-		sharing: sharing,
 		results: make([]schedResult, opt.Schedules),
 		start:   time.Now(),
 	}
@@ -407,87 +272,61 @@ func Explore(prog *ir.Program, cfg Config, opt ExploreOptions) *ExploreSummary {
 	// instances below; drop them so runtimes never alias across workers.
 	e.cfg.Telemetry, e.cfg.Tracer, e.cfg.Counters = nil, nil, nil
 
-	// Strategy identities are pure functions of (Strategy, Seed, index), so
-	// the duplicate structure of the whole exploration is static: dupOf[i]
-	// is the first earlier index with the same identity, or -1.
-	identities := make([]string, opt.Schedules)
-	dupOf := make([]int, opt.Schedules)
-	first := make(map[string]int)
-	for i := range identities {
-		s := exploreStrategy(opt.Strategy, opt.Seed, i, 4096)
-		identities[i] = fmt.Sprintf("%s|%d", s.Name(), s.Seed())
-		if j, ok := first[identities[i]]; ok {
-			dupOf[i] = j
-		} else {
-			dupOf[i] = -1
-			first[identities[i]] = i
+	workerIns := make([]instruments, opt.Workers) // [0] doubles as the calibration run's
+	for w := range workerIns {
+		if e.metrics {
+			workerIns[w].tel = telemetry.NewCollector(info)
+		}
+		if tracing {
+			workerIns[w].tracer = telemetry.NewTracer(cfg.TraceCapacity, info)
 		}
 	}
 
 	// Calibration: schedule 0 runs first, alone, under the default horizon;
 	// its decision count fixes the PCT horizon for every later schedule, so
 	// strategy construction never depends on execution order.
-	workerIns := make([]instruments, opt.Workers) // [0] doubles as the calibration run's
-	newIns := func() instruments {
-		var ins instruments
-		if e.metrics {
-			ins.tel = telemetry.NewCollector(e.info)
-		}
-		if e.tracing {
-			ins.tracer = telemetry.NewTracer(cfg.TraceCapacity, e.info)
-		}
-		return ins
-	}
-	workerIns[0] = newIns()
-	memos0 := make(map[string]portfolio.Memo)
-	e.runPrimary(0, identities[0], workerIns[0], memos0)
+	e.execute(0, workerIns[0])
 	e.horizon = e.results[0].decisions
 
-	// Workers: worker w owns indices {i ≥ 1 : (i-1) mod Workers == w},
-	// executed in ascending order (modulo the output-neutral PCT
-	// promotion). Worker 0 inherits the calibration run's instruments and
-	// memos, so with one worker the run degenerates to the sequential
-	// single-collector exploration.
+	// Workers: worker w runs queue[w], queue[w+Workers], … in ascending
+	// order. Worker 0 inherits the calibration run's instruments, so with
+	// one worker the run degenerates to the sequential single-collector
+	// exploration.
 	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		var queue []int
-		for i := 1 + w; i < opt.Schedules; i += opt.Workers {
-			queue = append(queue, i)
-		}
-		ins, memos := workerIns[0], memos0
-		if w > 0 {
-			ins = newIns()
-			workerIns[w] = ins
-			memos = make(map[string]portfolio.Memo)
-		}
+	for w := range workerIns {
 		wg.Add(1)
-		go func(queue []int, ins instruments, memos map[string]portfolio.Memo) {
+		go func(w int) {
 			defer wg.Done()
-			e.worker(queue, dupOf, identities, ins, memos)
-		}(queue, ins, memos)
+			for n := w; n < len(queue); n += opt.Workers {
+				e.execute(queue[n], workerIns[w])
+			}
+		}(w)
 	}
 	wg.Wait()
-	sharing.Close()
 
-	// Canonical merge: ascending schedule index, findings attributed to
-	// their minimum index. Identical for every worker count by the
-	// determinism contract above.
-	sum := &ExploreSummary{
-		Schedules:         opt.Schedules,
-		Workers:           opt.Workers,
-		Share:             opt.Share,
-		SkippedExecutions: int(e.skipped.Load()),
-		ShareStats:        sharing.Stats(),
-	}
+	// Canonical merge: ascending schedule index, duplicates copied from
+	// their primary, findings attributed to their minimum index. Identical
+	// for every worker count by the determinism contract above.
+	sum := &ExploreSummary{Schedules: opt.Schedules, Workers: opt.Workers}
 	if ns := e.firstFinding.Load(); ns > 0 {
 		sum.FirstFinding = time.Duration(ns - 1)
 	}
 	seen := make(map[string]bool)
-	for i, r := range e.results {
-		sum.Decisions += r.decisions
-		if r.dup {
+	for i := range e.results {
+		r := &e.results[i]
+		if j := dupOf[i]; j >= 0 {
+			p := &e.results[j] // same name and seed: that is the identity
+			*r = schedResult{
+				name:      p.name,
+				seed:      p.seed,
+				decisions: p.decisions,
+				deadlock:  p.deadlock,
+				reports:   p.reports,
+				dup:       true,
+			}
 			sum.Duplicates++
 		}
+		sum.Decisions += r.decisions
 		out := ScheduleOutcome{
 			Index:     i,
 			Strategy:  r.name,
@@ -496,19 +335,19 @@ func Explore(prog *ir.Program, cfg Config, opt ExploreOptions) *ExploreSummary {
 			Reports:   len(r.reports),
 			Duplicate: r.dup,
 		}
-		for _, f := range r.reports {
-			key := fmt.Sprintf("%d|%s:%d:%d", f.Kind, f.File, f.Line, f.Col)
+		for _, rep := range r.reports {
+			key := findingKey(rep)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
 			out.New++
 			sum.Findings = append(sum.Findings, Finding{
-				Kind:     ReportKind(f.Kind),
-				KindName: f.KindName,
-				Pos:      token.Pos{File: f.File, Line: f.Line, Col: f.Col},
-				Site:     f.Site,
-				Msg:      f.Msg,
+				Kind:     rep.Kind,
+				KindName: rep.Kind.String(),
+				Pos:      rep.Pos,
+				Site:     fmt.Sprintf("%s:%d:%d", rep.Pos.File, rep.Pos.Line, rep.Pos.Col),
+				Msg:      rep.Msg,
 				Schedule: i,
 				Strategy: r.name,
 				Seed:     r.seed,
@@ -516,6 +355,7 @@ func Explore(prog *ir.Program, cfg Config, opt ExploreOptions) *ExploreSummary {
 		}
 		sum.Outcomes = append(sum.Outcomes, out)
 	}
+	sum.SkippedExecutions = sum.Duplicates
 
 	// Telemetry merge: per-site counters fold into one collector
 	// (commutative sums and mask ORs), per-schedule substrate totals fold
@@ -524,12 +364,10 @@ func Explore(prog *ir.Program, cfg Config, opt ExploreOptions) *ExploreSummary {
 	if e.metrics {
 		master := cfg.Telemetry
 		if master == nil {
-			master = telemetry.NewCollector(e.info)
+			master = telemetry.NewCollector(info)
 		}
 		for _, ins := range workerIns {
-			if ins.tel != nil && ins.tel != master {
-				master.Merge(ins.tel)
-			}
+			master.Merge(ins.tel)
 		}
 		globals := make([]telemetry.GlobalStats, 0, opt.Schedules)
 		for _, r := range e.results {
@@ -539,14 +377,12 @@ func Explore(prog *ir.Program, cfg Config, opt ExploreOptions) *ExploreSummary {
 		}
 		sum.Telemetry = master.Snapshot(telemetry.MergeGlobalStats(globals...), elisionInfo(prog))
 	}
-	if e.tracing {
-		parts := make([]*telemetry.Tracer, 0, len(workerIns))
-		for _, ins := range workerIns {
-			if ins.tracer != nil {
-				parts = append(parts, ins.tracer)
-			}
+	if tracing {
+		parts := make([]*telemetry.Tracer, len(workerIns))
+		for w, ins := range workerIns {
+			parts[w] = ins.tracer
 		}
-		sum.Trace = telemetry.MergeTracers(cfg.TraceCapacity, e.info, parts...)
+		sum.Trace = telemetry.MergeTracers(cfg.TraceCapacity, info, parts...)
 	}
 	return sum
 }

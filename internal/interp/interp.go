@@ -676,11 +676,15 @@ var ErrInterrupted = errors.New("interrupted: the run was stopped before complet
 // in a Go-level mutex or condition wait is only interrupted once it wakes
 // on its own. Safe to call at any time, including after Run returned.
 func (rt *Runtime) Interrupt() {
-	if rt.intr != nil {
-		rt.intr.Store(true)
-	}
+	// Abort before raising the flag: a thread that unwinds on the flag
+	// exits still holding its modeled locks, and if the controller were not
+	// yet aborted, that exit could leave every sibling blocked and be
+	// declared a deadlock, with reports, before Abort ran.
 	if rt.ctl != nil {
 		rt.ctl.Abort()
+	}
+	if rt.intr != nil {
+		rt.intr.Store(true)
 	}
 }
 

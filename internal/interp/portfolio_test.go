@@ -3,11 +3,11 @@ package interp_test
 // The portfolio explorer's determinism contract, tested three ways:
 //
 //  1. Worker-count independence: the full summary (JSON) and the merged
-//     event trace are byte-identical for workers ∈ {1, 2, 8}, every
-//     sharing topology, and varied GOMAXPROCS.
+//     event trace are byte-identical for workers ∈ {1, 2, 8} and varied
+//     GOMAXPROCS, and every duplicate's row is its primary's.
 //  2. Sequential equivalence: `Workers: 1` matches an independent
-//     in-test sequential reference — a plain loop with no goroutines, no
-//     sharing, and no memo skipping — on the full corpus.
+//     in-test sequential reference — a plain loop with no goroutines that
+//     executes every schedule, duplicates included — on the full corpus.
 //  3. Process isolation: two different programs explored concurrently
 //     (metrics and tracing on) each produce exactly their solo output,
 //     proving no shared mutable state across interp/sched/shadow/telemetry.
@@ -45,43 +45,93 @@ func exploreBytes(t *testing.T, sum *interp.ExploreSummary) (string, string) {
 
 // TestExploreWorkerCountIndependence pins the contract the portfolio
 // design rests on: same seed ⇒ byte-identical output for every worker
-// count, sharing topology, and GOMAXPROCS value.
+// count and GOMAXPROCS value.
 func TestExploreWorkerCountIndependence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, file := range []string{"racy_pair.shc", "racy_handoff.shc", "bank.shc"} {
-		file := file
-		t.Run(file, func(t *testing.T) {
-			prog := buildCorpus(t, file, compile.DefaultOptions())
+	cases := []struct {
+		name, file string
+		opt        interp.ExploreOptions
+		// maxWorkers is the clamp: one worker per primary after the
+		// calibration run.
+		maxWorkers int
+	}{
+		{"racy_pair.shc", "racy_pair.shc", interp.ExploreOptions{Schedules: 40, Seed: 3}, 8},
+		{"racy_handoff.shc", "racy_handoff.shc", interp.ExploreOptions{Schedules: 40, Seed: 3}, 8},
+		{"bank.shc", "bank.shc", interp.ExploreOptions{Schedules: 40, Seed: 3}, 8},
+		// Four primaries, one of them the calibration run: 8 requested
+		// workers clamp to 3, and 20 of 24 rows are merge-time copies.
+		{"rr_racy_pair.shc", "racy_pair.shc", interp.ExploreOptions{Schedules: 24, Strategy: "rr", Seed: 3}, 3},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			prog := buildCorpus(t, tc.file, compile.DefaultOptions())
 			cfg := interp.DefaultConfig()
 			cfg.Metrics = true
 			cfg.TraceCapacity = 512 // smaller than the event stream: the ring-tail merge is exercised
-			run := func(workers int, share string) (string, string) {
-				sum := interp.Explore(prog, cfg, interp.ExploreOptions{
-					Schedules: 40, Seed: 3, Workers: workers, Share: share,
-				})
-				return exploreBytes(t, sum)
+			run := func(workers int) (*interp.ExploreSummary, string, string) {
+				opt := tc.opt
+				opt.Workers = workers
+				sum := interp.Explore(prog, cfg, opt)
+				checkDuplicateRows(t, sum)
+				sumJSON, trace := exploreBytes(t, sum)
+				return sum, sumJSON, trace
 			}
-			baseSum, baseTrace := run(1, "local")
+			_, baseSum, baseTrace := run(1)
 			if baseTrace == "" {
 				t.Fatal("tracing produced no events")
 			}
 			for _, workers := range []int{2, 8} {
-				for _, share := range []string{"none", "local", "global"} {
-					for _, procs := range []int{1, 4} {
-						runtime.GOMAXPROCS(procs)
-						sumJSON, trace := run(workers, share)
-						if sumJSON != baseSum {
-							t.Errorf("workers=%d share=%s procs=%d: summary JSON diverges from workers=1",
-								workers, share, procs)
-						}
-						if trace != baseTrace {
-							t.Errorf("workers=%d share=%s procs=%d: merged trace diverges from workers=1",
-								workers, share, procs)
-						}
+				for _, procs := range []int{1, 4} {
+					runtime.GOMAXPROCS(procs)
+					sum, sumJSON, trace := run(workers)
+					if want := min(workers, tc.maxWorkers); sum.Workers != want {
+						t.Errorf("workers=%d: ran %d workers, want %d", workers, sum.Workers, want)
+					}
+					if sumJSON != baseSum {
+						t.Errorf("workers=%d procs=%d: summary JSON diverges from workers=1", workers, procs)
+					}
+					if trace != baseTrace {
+						t.Errorf("workers=%d procs=%d: merged trace diverges from workers=1", workers, procs)
 					}
 				}
 			}
 		})
+	}
+}
+
+// checkDuplicateRows asserts the merge-time copy: no duplicate executes,
+// and each duplicate's row equals its primary's apart from its index, its
+// dup mark, and New — a duplicate is never first to expose a finding.
+func checkDuplicateRows(t *testing.T, sum *interp.ExploreSummary) {
+	t.Helper()
+	if sum.SkippedExecutions != sum.Duplicates {
+		t.Errorf("skipped %d executions, want one per duplicate (%d)", sum.SkippedExecutions, sum.Duplicates)
+	}
+	primary := make(map[string]interp.ScheduleOutcome)
+	dups := 0
+	for _, o := range sum.Outcomes {
+		identity := fmt.Sprintf("%s|%d", o.Strategy, o.Seed)
+		p, seen := primary[identity]
+		if seen != o.Duplicate {
+			t.Errorf("schedule %d: dup=%v, but identity seen before=%v", o.Index, o.Duplicate, seen)
+		}
+		if !seen {
+			primary[identity] = o
+			continue
+		}
+		dups++
+		if o.New != 0 {
+			t.Errorf("duplicate schedule %d reports %d new finding(s)", o.Index, o.New)
+		}
+		got := o
+		got.Index, got.Duplicate, got.New = p.Index, p.Duplicate, p.New
+		if got != p {
+			t.Errorf("duplicate row %+v differs from its primary %+v", o, p)
+		}
+	}
+	if dups != sum.Duplicates {
+		t.Errorf("%d duplicate rows, summary counts %d", dups, sum.Duplicates)
 	}
 }
 
@@ -113,8 +163,8 @@ func referenceStrategy(kind string, seed int64, i int, horizon int64) sched.Stra
 }
 
 // referenceExplore is the sequential reference: one schedule at a time, no
-// goroutines, no sharing layer, no memo skipping — every schedule executes,
-// duplicates included. The portfolio explorer must match it exactly.
+// goroutines, no merge-time copying — every schedule executes, duplicates
+// included. The portfolio explorer must match it exactly.
 func referenceExplore(t *testing.T, build func(ctl *sched.Controller) *interp.Runtime, kind string, seed int64, schedules int) *interp.ExploreSummary {
 	t.Helper()
 	sum := &interp.ExploreSummary{Schedules: schedules}
@@ -220,7 +270,7 @@ func TestExploreProcessIsolation(t *testing.T) {
 	cfg.TraceCapacity = 256
 	run := func(p *ir.Program) (string, string) {
 		sum := interp.Explore(p, cfg, interp.ExploreOptions{
-			Schedules: 20, Seed: 7, Workers: 4, Share: "local",
+			Schedules: 20, Seed: 7, Workers: 4,
 		})
 		return exploreBytes(t, sum)
 	}

@@ -25,6 +25,8 @@ import (
 // access (race reports), and lock-protected sharing. Small enough that a
 // request is dominated by service overhead (the thing a server benchmark
 // should measure), distinct enough that the cache holds several programs.
+// The SCAST in locked nulls a, so main reads the final balance through ad,
+// holding ad->m.
 var serveWorkload = []struct {
 	Name string
 	Src  string
@@ -87,7 +89,9 @@ int main(void) {
 	int h2 = spawn(deposit, ad);
 	join(h1);
 	join(h2);
-	printInt(a->bal);
+	mutexLock(ad->m);
+	printInt(ad->bal);
+	mutexUnlock(ad->m);
 	return 0;
 }
 `},
@@ -116,6 +120,15 @@ type ServeRow struct {
 	// SlowConnsCut counts slowloris connections the server terminated
 	// (slowloris scenario only).
 	SlowConnsCut int `json:"slow_conns_cut,omitempty"`
+	// LateP99NS says how far behind its schedule the open loop's
+	// generator handed requests out (open-fixed-rate only). Its latencies
+	// are timed from each request's due time, so lateness is already
+	// inside them; a large value means the generator, not the server, set
+	// the pace.
+	LateP99NS int64 `json:"late_p99_ns,omitempty"`
+	// FirstError is the first failed request's transport error or
+	// unexpected status, so an errors count can be explained.
+	FirstError string `json:"first_error,omitempty"`
 }
 
 // ServeReport is the BENCH_serve.json shape: scenario rows plus the same
@@ -129,6 +142,7 @@ type ServeReport struct {
 	StaticDischarge bool   `json:"static_discharge"`
 	NumCPU          int    `json:"num_cpu"`
 	GOMAXPROCS      int    `json:"gomaxprocs"`
+	GoVersion       string `json:"go_version"`
 	// ObsOverheadPct is the throughput cost of the fully-armed
 	// observability layer on the hot sequential path: 100*(off-on)/off
 	// from the obs-off-hot and obs-on-hot rows. Only measured against
@@ -184,8 +198,21 @@ type outcome struct {
 	err     error
 }
 
-func doRequest(client *http.Client, base, body string) outcome {
-	start := time.Now()
+// keepAliveClient pools up to idle connections and drops one after 1s
+// idle, before the in-process target's 2s read timeout, which net/http
+// also applies to idle connections, closes it from the server side. A
+// POST written onto a connection the server is closing fails with EOF or
+// a reset and is not retried.
+func keepAliveClient(idle int) *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		MaxIdleConnsPerHost: idle,
+		IdleConnTimeout:     time.Second,
+	}}
+}
+
+// doRequest sends one run request; its latency is timed from start, the
+// send time in a closed loop and the due time in an open one.
+func doRequest(client *http.Client, base, body string, start time.Time) outcome {
 	resp, err := client.Post(base+"/run", "application/json", strings.NewReader(body))
 	if err != nil {
 		return outcome{latency: time.Since(start), err: err}
@@ -208,6 +235,9 @@ func tally(row ServeRow, outs []outcome, elapsed time.Duration) ServeRow {
 		switch {
 		case o.err != nil:
 			row.Errors++
+			if row.FirstError == "" {
+				row.FirstError = o.err.Error()
+			}
 			continue
 		case o.status == http.StatusOK:
 			row.OK++
@@ -223,6 +253,9 @@ func tally(row ServeRow, outs []outcome, elapsed time.Duration) ServeRow {
 			row.Timeouts++
 		default:
 			row.Errors++
+			if row.FirstError == "" {
+				row.FirstError = fmt.Sprintf("status %d", o.status)
+			}
 		}
 	}
 	row.DurationNS = elapsed.Nanoseconds()
@@ -233,15 +266,16 @@ func tally(row ServeRow, outs []outcome, elapsed time.Duration) ServeRow {
 		row.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		row.P50NS = lats[len(lats)/2].Nanoseconds()
-		p99 := (len(lats) * 99) / 100
-		if p99 >= len(lats) {
-			p99 = len(lats) - 1
-		}
-		row.P99NS = lats[p99].Nanoseconds()
+		row.P50NS = percentileNS(lats, 50)
+		row.P99NS = percentileNS(lats, 99)
 	}
 	return row
+}
+
+// percentileNS sorts ds and returns its pct-th percentile in nanoseconds.
+func percentileNS(ds []time.Duration, pct int) int64 {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[min(len(ds)*pct/100, len(ds)-1)].Nanoseconds()
 }
 
 // closedLoop runs n requests with c workers, each worker issuing the next
@@ -260,7 +294,7 @@ func closedLoop(client *http.Client, base string, n, c int, body func(int) strin
 				if i >= n {
 					return
 				}
-				outs[i] = doRequest(client, base, body(i))
+				outs[i] = doRequest(client, base, body(i), time.Now())
 			}
 		}()
 	}
@@ -271,25 +305,27 @@ func closedLoop(client *http.Client, base string, n, c int, body func(int) strin
 // openLoop fires n requests at a fixed arrival rate regardless of
 // completions (the latency therefore includes queueing delay, and an
 // overloaded server shows refusals rather than a silently stretched
-// run — the usual closed-loop blind spot).
-func openLoop(client *http.Client, base string, n int, interval time.Duration, body func(int) string) ([]outcome, time.Duration) {
-	outs := make([]outcome, n)
+// run — the usual closed-loop blind spot). Request i is due at
+// start+i*interval and timed from then, so a generator that falls behind
+// cannot hide the delay (coordinated omission); late[i] is how far behind
+// its due time request i was sent.
+func openLoop(client *http.Client, base string, n int, interval time.Duration, body func(int) string) (outs []outcome, late []time.Duration, elapsed time.Duration) {
+	outs = make([]outcome, n)
+	late = make([]time.Duration, n)
 	var wg sync.WaitGroup
 	start := time.Now()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
 	for i := 0; i < n; i++ {
-		if i > 0 {
-			<-tick.C
-		}
+		due := start.Add(time.Duration(i) * interval)
+		time.Sleep(time.Until(due))
+		late[i] = time.Since(due)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i] = doRequest(client, base, body(i))
+			outs[i] = doRequest(client, base, body(i), due)
 		}(i)
 	}
 	wg.Wait()
-	return outs, time.Since(start)
+	return outs, late, time.Since(start)
 }
 
 // slowloris opens conns raw TCP connections that trickle one header byte
@@ -367,9 +403,7 @@ func RunServeBench(opts ServeOptions) (*ServeReport, error) {
 	base := target.base
 	addr := strings.TrimPrefix(base, "http://")
 
-	keepalive := &http.Client{Transport: &http.Transport{
-		MaxIdleConnsPerHost: opts.Concurrency * 2,
-	}}
+	keepalive := keepAliveClient(opts.Concurrency * 2)
 	churny := &http.Client{Transport: &http.Transport{
 		DisableKeepAlives: true,
 	}}
@@ -384,6 +418,7 @@ func RunServeBench(opts ServeOptions) (*ServeReport, error) {
 		StaticDischarge: false,
 		NumCPU:          runtime.NumCPU(),
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
+		GoVersion:       runtime.Version(),
 	}
 	add := func(row ServeRow, outs []outcome, d time.Duration) {
 		rep.Rows = append(rep.Rows, tally(row, outs, d))
@@ -394,7 +429,7 @@ func RunServeBench(opts ServeOptions) (*ServeReport, error) {
 	var cold []outcome
 	coldStart := time.Now()
 	for i := range serveWorkload {
-		cold = append(cold, doRequest(keepalive, base, reqBody(i)))
+		cold = append(cold, doRequest(keepalive, base, reqBody(i), time.Now()))
 	}
 	add(ServeRow{Scenario: "cold-compile", Loop: "closed", Concurrency: 1},
 		cold, time.Since(coldStart))
@@ -416,8 +451,9 @@ func RunServeBench(opts ServeOptions) (*ServeReport, error) {
 		rate = 20
 	}
 	interval := time.Duration(float64(time.Second) / rate)
-	outs, d = openLoop(keepalive, base, opts.Requests, interval, mixed)
-	add(ServeRow{Scenario: "open-fixed-rate", Loop: "open", Concurrency: 0}, outs, d)
+	outs, late, d := openLoop(keepalive, base, opts.Requests, interval, mixed)
+	add(ServeRow{Scenario: "open-fixed-rate", Loop: "open", Concurrency: 0,
+		LateP99NS: percentileNS(late, 99)}, outs, d)
 
 	// Bursts: the full budget in batches of 4x the worker pool, arriving
 	// simultaneously with idle gaps between batches.
@@ -489,10 +525,10 @@ func measureObsOverhead(rep *ServeReport, requests int) error {
 			defer cancel()
 			s.Shutdown(ctx)
 		}()
-		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2}}
+		client := keepAliveClient(2)
 		defer client.CloseIdleConnections()
 		base := "http://" + s.Addr()
-		doRequest(client, base, reqBody(0)) // warm: compile once off the clock
+		doRequest(client, base, reqBody(0), time.Now()) // warm: compile once off the clock
 		outs, d := closedLoop(client, base, requests, 1, func(int) string { return reqBody(0) })
 		return tally(ServeRow{Scenario: scenario, Loop: "closed", Concurrency: 1}, outs, d), nil
 	}
@@ -557,7 +593,7 @@ func RunServeSmoke(addr string, progress io.Writer) error {
 		defer target.close()
 	}
 	base := target.base
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
+	client := keepAliveClient(16)
 	defer client.CloseIdleConnections()
 
 	fetch := func(i int) (int, string, []byte, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -132,13 +133,23 @@ func FormatVM(rows []VMRow) string {
 	return sb.String()
 }
 
-// vmReport is the BENCH_vm.json shape: the rows plus the aggregate.
+// vmReport is the BENCH_vm.json shape: the rows plus the aggregate and
+// the recording host.
 type vmReport struct {
 	Rows           []VMRow `json:"rows"`
 	GeomeanSpeedup float64 `json:"geomean_speedup"`
+	NumCPU         int     `json:"num_cpu"`
+	GOMAXPROCS     int     `json:"gomaxprocs"`
+	GoVersion      string  `json:"go_version"`
 }
 
 // VMJSON renders rows machine-readably for BENCH_vm.json.
 func VMJSON(rows []VMRow) ([]byte, error) {
-	return json.MarshalIndent(vmReport{Rows: rows, GeomeanSpeedup: GeomeanSpeedup(rows)}, "", "  ")
+	return json.MarshalIndent(vmReport{
+		Rows:           rows,
+		GeomeanSpeedup: GeomeanSpeedup(rows),
+		NumCPU:         runtime.NumCPU(),
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
+		GoVersion:      runtime.Version(),
+	}, "", "  ")
 }

@@ -152,14 +152,7 @@ func (t *thread) doFree(p int64, pos token.Pos) int64 {
 	// Pointer slots inside the block die: null them through barriers so
 	// their referents' counts drop, then clear the shadow state — freed
 	// memory is no longer considered accessed by any thread (§4.2.1).
-	for i := int64(0); i < size; i++ {
-		addr := p + i
-		if old := t.loadRaw(addr); old != 0 {
-			t.dynStore(addr, 0)
-		} else {
-			t.storeRaw(addr, 0)
-		}
-	}
+	t.zeroCells(p, size)
 	rt.shadow.ClearRange(p, size)
 	rt.finishFree(p, size)
 	if obs := rt.cfg.Observer; obs != nil {
@@ -409,15 +402,26 @@ func (t *thread) doRecycle(p, n int64) int64 {
 	}
 	// The custom allocator owns the memory layout; SharC only forgets
 	// past accesses (and drops tracked references held inside).
-	for i := int64(0); i < n && p+i < int64(len(rt.mem)); i++ {
-		if old := t.loadRaw(p + i); old != 0 {
-			t.dynStore(p+i, 0)
-		} else {
-			t.storeRaw(p+i, 0)
-		}
-	}
+	t.zeroCells(p, min(n, rt.memLen-p))
 	rt.shadow.ClearRange(p, n)
 	return 0
+}
+
+// zeroCells zeroes [p, p+n), nulling tracked pointers through the dynamic
+// barrier. Unmapped pages hold only zeros and are skipped, not mapped.
+func (t *thread) zeroCells(p, n int64) {
+	pages := t.rt.pages
+	for addr, end := p, p+n; addr < end; addr++ {
+		if !pages.mapped(addr) {
+			addr |= pageMask // the loop steps to the next page
+			continue
+		}
+		if old := t.loadRaw(addr); old != 0 {
+			t.dynStore(addr, 0)
+		} else {
+			t.storeRaw(addr, 0)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 package interp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/parser"
 	"repro/internal/shadow"
 )
 
@@ -561,5 +564,185 @@ int main(void) {
 `)
 	if ret != 5 {
 		t.Fatalf("ret = %d", ret)
+	}
+}
+
+// The address space is paged on first store. The tests below pin its
+// edges on both engines: the last cell, loads from pages never written,
+// library copies and recycling that straddle a page boundary, and a
+// use-after-free across one.
+
+// pagedRun runs src on engine with cfg after filling its %d verbs from
+// args(first, memLen), where first is the base of the program's first
+// malloc and memLen the first out-of-bounds cell. The layout comes from a
+// build of src with zeros: integer literals do not move the static area,
+// so the second build has the same heap base.
+func pagedRun(t *testing.T, cfg interp.Config, engine interp.Engine, src string, args func(first, memLen int64) []any) (*interp.Runtime, int64, error) {
+	t.Helper()
+	build := func(text string) *ir.Program {
+		a, err := core.Analyze(parser.Source{Name: "program.shc", Text: text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := a.Build(compile.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	zeros := make([]any, strings.Count(src, "%d"))
+	for i := range zeros {
+		zeros[i] = 0
+	}
+	layout := interp.New(build(fmt.Sprintf(src, zeros...)), cfg)
+	g := int64(shadow.GranuleCells)
+	first := (layout.HeapBase() + g - 1) / g * g
+	cfg.Engine = engine
+	rt := interp.New(build(fmt.Sprintf(src, args(first, layout.MemLen())...)), cfg)
+	if rt.HeapBase() != layout.HeapBase() {
+		t.Fatalf("heap base moved: %d, laid out at %d", rt.HeapBase(), layout.HeapBase())
+	}
+	ret, err := rt.Run()
+	return rt, ret, err
+}
+
+var bothEngines = []interp.Engine{interp.EngineTree, interp.EngineVM}
+
+func TestPagedLastCell(t *testing.T) {
+	cfg := interp.DefaultConfig()
+	cfg.HeapCells = 3 * interp.PageCells
+	last := func(first, memLen int64) []any {
+		return []any{memLen - 1 - first, memLen - 1 - first, memLen - 1 - first}
+	}
+	for _, e := range bothEngines {
+		rt, ret, err := pagedRun(t, cfg, e, `
+int main(void) {
+	int *p = malloc(1);
+	int before = p[%d];
+	p[%d] = 7;
+	return before * 10 + p[%d];
+}
+`, last)
+		if err != nil || ret != 7 {
+			t.Fatalf("%v: last cell: ret %d err %v, want 7", e, ret, err)
+		}
+		if !rt.PageMapped(rt.MemLen() - 1) {
+			t.Errorf("%v: the store did not map the last page", e)
+		}
+		for _, src := range []string{`
+int main(void) {
+	int *p = malloc(1);
+	return p[%d];
+}
+`, `
+int main(void) {
+	int *p = malloc(1);
+	p[%d] = 1;
+	return 0;
+}
+`} {
+			rt, _, err := pagedRun(t, cfg, e, src, func(first, memLen int64) []any {
+				return []any{memLen - first}
+			})
+			want := fmt.Sprintf("-: thread 1 failed: invalid memory access at 0x%x (null or out of bounds)", rt.MemLen())
+			if err == nil || err.Error() != want {
+				t.Errorf("%v: access at memLen: err %v, want %q", e, err, want)
+			}
+		}
+	}
+}
+
+func TestPagedUnwrittenLoadMapsNothing(t *testing.T) {
+	const far = 2*interp.PageCells + 5
+	var p int64
+	for _, e := range bothEngines {
+		rt, ret, err := pagedRun(t, interp.DefaultConfig(), e, `
+int main(void) {
+	int *p = malloc(%d);
+	p[0] = 1;
+	return p[%d] + p[%d];
+}
+`, func(first, memLen int64) []any {
+			p = first
+			return []any{3 * interp.PageCells, far, far + 1}
+		})
+		if err != nil || ret != 0 {
+			t.Fatalf("%v: ret %d err %v, want 0", e, ret, err)
+		}
+		if !rt.PageMapped(p) {
+			t.Errorf("%v: the written page is not mapped", e)
+		}
+		if rt.PageMapped(p + far) {
+			t.Errorf("%v: a program load from a never-written page mapped it", e)
+		}
+		// The reference-count collector reads slots through LoadCell.
+		if rt.LoadCell(p+far) != 0 || rt.PageMapped(p+far) {
+			t.Errorf("%v: LoadCell of a never-written page is not a zero read", e)
+		}
+	}
+}
+
+func TestPagedBuiltinsAcrossBoundary(t *testing.T) {
+	const P = interp.PageCells
+	// s straddles the first page boundary b inside the block, d and m the
+	// next two; the recycled range [b+3P, b+4P) is a page never written.
+	var recycled int64
+	for _, e := range bothEngines {
+		rt, ret, err := pagedRun(t, interp.DefaultConfig(), e, `
+int main(void) {
+	char *p = malloc(%d);
+	char *s = p + %d;
+	for (int i = 0; i < 6; i++) s[i] = 'a' + i;
+	s[6] = 0;
+	char *d = p + %d;
+	strcpy(d, s);
+	char *m = p + %d;
+	memcpy(m, s, 7);
+	int sum = 0;
+	for (int i = 0; i < 7; i++) sum = sum + d[i] + m[i];
+	int eq = strcmp(d, s) == 0 && strcmp(m, s) == 0;
+	shcRecycle(s, 7);
+	shcRecycle(p + %d, %d);
+	int left = 0;
+	for (int i = 0; i < 7; i++) left = left + s[i];
+	return sum * 10 + eq + left * 1000000;
+}
+`, func(first, memLen int64) []any {
+			ob := (first/P+1)*P - first
+			recycled = first + ob + 3*P
+			return []any{5 * P, ob - 3, ob + P - 2, ob + 2*P - 4, ob + 3*P, P}
+		})
+		want := int64(2*(97+98+99+100+101+102)*10 + 1)
+		if err != nil || ret != want {
+			t.Fatalf("%v: ret %d err %v, want %d", e, ret, err, want)
+		}
+		if rt.PageMapped(recycled) {
+			t.Errorf("%v: recycling a never-written page mapped it", e)
+		}
+	}
+}
+
+func TestPagedUseAfterFreeAcrossBoundary(t *testing.T) {
+	const P = interp.PageCells
+	for _, e := range bothEngines {
+		_, _, err := pagedRun(t, interp.DefaultConfig(), e, `
+int main(void) {
+	int **slots = malloc(%d);
+	slots[%d] = malloc(1);
+	slots[%d] = malloc(1);
+	*slots[%d] = 4;
+	free(slots);
+	int *x = slots[%d];
+	int *y = slots[%d];
+	return *x + *y;
+}
+`, func(first, memLen int64) []any {
+			ob := (first/P+1)*P - first
+			return []any{2 * P, ob - 1, ob, ob, ob - 1, ob}
+		})
+		want := "-: thread 1 failed: invalid memory access at 0x0 (null or out of bounds)"
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: use after free: err %v, want %q", e, err, want)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package interp executes instrumented ShC programs. Every ShC thread is a
-// real goroutine, every ShC mutex a real sync.Mutex, and memory is one flat
-// array of int64 cells, so the dynamic checks interleave with genuine
-// concurrency exactly as SharC's instrumented native code does.
+// real goroutine, every ShC mutex a real sync.Mutex, and memory is an
+// address space of int64 cells paged on first store (memory.go), so the
+// dynamic checks interleave with genuine concurrency exactly as SharC's
+// instrumented native code does.
 //
 // The runtime wires together the three SharC substrates: shadow memory for
 // the dynamic sharing mode (internal/shadow), per-thread lock logs for the
@@ -212,14 +213,18 @@ type Runtime struct {
 	// one runtime executes on the same engine.
 	useVM bool
 
-	mem       []int64
+	// pages is the cell address space [0, memLen): globals, then
+	// MaxThreads stacks of StackCells, then HeapCells of heap. Pages are
+	// mapped on first store; the bounds never change.
+	pages     pageTable
+	memLen    int64
 	stackBase int64
 	heapBase  int64
 
 	shadow    *shadow.Shadow
 	siteIDs   []uint32 // program site -> shadow site
 	rc        refcount.Manager
-	barriered []atomic.Uint32 // bitmap: cells ever stored through a barrier
+	barriered barrierTable // cells ever stored through a barrier (nil without rc)
 
 	heapMu    sync.Mutex
 	heapNext  int64
@@ -300,7 +305,8 @@ func New(prog *ir.Program, cfg Config) *Runtime {
 	rt := &Runtime{
 		prog:      prog,
 		cfg:       cfg,
-		mem:       make([]int64, memCells),
+		pages:     newPageTable(memCells),
+		memLen:    memCells,
 		stackBase: stackBase,
 		heapBase:  heapBase,
 		heapNext:  alignGranule(heapBase),
@@ -380,16 +386,16 @@ func New(prog *ir.Program, cfg Config) *Runtime {
 		rt.rc = refcount.NewNaive(rt.resolveObj)
 	}
 	if rt.rc != nil {
-		rt.barriered = make([]atomic.Uint32, (memCells+31)/32)
+		rt.barriered = make(barrierTable, len(rt.pages))
 	}
 	// Globals and strings.
 	for _, init := range prog.Inits {
-		rt.mem[init.Addr] = rt.constValue(init.Val)
+		rt.pages.store(init.Addr, rt.constValue(init.Val))
 	}
 	for i, s := range prog.Strings {
 		base := prog.StringAddr[i]
 		for j := 0; j < len(s); j++ {
-			rt.mem[base+int64(j)] = int64(s[j])
+			rt.pages.store(base+int64(j), int64(s[j]))
 		}
 	}
 	return rt
@@ -412,17 +418,17 @@ func alignGranule(a int64) int64 {
 
 // LoadCell implements refcount.Memory.
 func (rt *Runtime) LoadCell(addr int64) int64 {
-	if addr < 0 || addr >= int64(len(rt.mem)) {
+	if addr < 0 || addr >= rt.memLen {
 		return 0
 	}
-	return atomic.LoadInt64(&rt.mem[addr])
+	return rt.pages.load(addr)
 }
 
 // resolveObj maps a pointer value to the base of the heap block carved at
 // that address (0 if not heap). Extents persist across free so deferred
 // reference-count updates for stale pointers still resolve.
 func (rt *Runtime) resolveObj(ptr int64) int64 {
-	if ptr < rt.heapBase || ptr >= int64(len(rt.mem)) {
+	if ptr < rt.heapBase || ptr >= rt.memLen {
 		return 0
 	}
 	rt.heapMu.Lock()
@@ -455,12 +461,10 @@ func (rt *Runtime) malloc(n int64) (int64, bool) {
 		rt.freeLists[n] = lst[:len(lst)-1]
 		rt.blocks[base] = n
 		rt.touchHeapPagesLocked(base, n)
-		for i := int64(0); i < n; i++ {
-			atomic.StoreInt64(&rt.mem[base+i], 0)
-		}
+		rt.pages.clear(base, n)
 		return base, true
 	}
-	if rt.heapNext+n > int64(len(rt.mem)) {
+	if rt.heapNext+n > rt.memLen {
 		return 0, false
 	}
 	base := rt.heapNext

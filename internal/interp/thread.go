@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/locklog"
@@ -102,15 +101,15 @@ func (t *thread) schedPoint(p sched.Point) {
 // memory access
 
 func (t *thread) loadRaw(addr int64) int64 {
-	return atomic.LoadInt64(&t.rt.mem[addr])
+	return t.rt.pages.load(addr)
 }
 
 func (t *thread) storeRaw(addr, v int64) {
-	atomic.StoreInt64(&t.rt.mem[addr], v)
+	t.rt.pages.store(addr, v)
 }
 
 func (t *thread) checkAddr(addr int64, pos token.Pos) {
-	if addr <= 0 || addr >= int64(len(t.rt.mem)) {
+	if addr <= 0 || addr >= t.rt.memLen {
 		t.fail(pos, "invalid memory access at 0x%x (null or out of bounds)", addr)
 	}
 }
@@ -219,38 +218,17 @@ func (t *thread) store(addr, val int64, chk ir.Check, barrier bool, pos token.Po
 	if barrier && t.rt.rc != nil {
 		old := t.loadRaw(addr)
 		t.rt.rc.Barrier(t.tid, addr, old, val)
-		t.markBarriered(addr)
+		t.rt.barriered.mark(addr)
 		t.nBarrier++
 	}
 	t.storeRaw(addr, val)
-}
-
-func (t *thread) markBarriered(addr int64) {
-	w := addr / 32
-	bit := uint32(1) << uint(addr%32)
-	for {
-		v := t.rt.barriered[w].Load()
-		if v&bit != 0 {
-			return
-		}
-		if t.rt.barriered[w].CompareAndSwap(v, v|bit) {
-			return
-		}
-	}
-}
-
-func (t *thread) isBarriered(addr int64) bool {
-	if t.rt.barriered == nil {
-		return false
-	}
-	return t.rt.barriered[addr/32].Load()&(uint32(1)<<uint(addr%32)) != 0
 }
 
 // dynStore is used by builtins and teardown paths that write cells without
 // static type knowledge: it barriers iff the cell was ever stored through a
 // barrier.
 func (t *thread) dynStore(addr, val int64) {
-	if t.rt.rc != nil && t.isBarriered(addr) {
+	if t.rt.rc != nil && t.rt.barriered.test(addr) {
 		old := t.loadRaw(addr)
 		t.rt.rc.Barrier(t.tid, addr, old, val)
 		t.nBarrier++
@@ -282,9 +260,7 @@ func (t *thread) pushFrame(fn *ir.Func, args []int64) (frameBase, prevFrame int6
 	}
 	t.sp = frameBase + int64(fn.FrameSize)
 	// Zero the frame (stack cells are recycled).
-	for i := int64(0); i < int64(fn.FrameSize); i++ {
-		t.storeRaw(frameBase+i, 0)
-	}
+	t.rt.pages.clear(frameBase, int64(fn.FrameSize))
 	prevFrame = t.frame
 	t.frame = frameBase
 
@@ -292,7 +268,7 @@ func (t *thread) pushFrame(fn *ir.Func, args []int64) (frameBase, prevFrame int6
 		slot := fn.ParamSlots[i]
 		if slot < len(fn.RCSlotSet) && fn.RCSlotSet[slot] && t.rt.rc != nil {
 			t.rt.rc.Barrier(t.tid, frameBase+int64(slot), 0, v)
-			t.markBarriered(frameBase + int64(slot))
+			t.rt.barriered.mark(frameBase + int64(slot))
 			t.nBarrier++
 		}
 		t.storeRaw(frameBase+int64(slot), v)

@@ -40,11 +40,14 @@ func (t *thread) runFlat(fnIdx int, args []int64) int64 {
 	}
 
 	code := ff.Code
-	// Hoisted runtime state for the fused access handlers. rt.mem is
-	// allocated once and never grows, and the region bounds and observer
-	// are fixed for the run, so none of these can go stale mid-dispatch.
-	mem := rt.mem
-	memLen := int64(len(mem))
+	// Hoisted runtime state for the fused access handlers. The page table
+	// is sized at New and never grows (only its entries fill in, atomically),
+	// and the region bounds and observer are fixed for the run, so none of
+	// these can go stale mid-dispatch. Loads inline pageTable.load; stores
+	// to a mapped page are inlined here, since pageTable.store, which maps
+	// on first touch, is over the inliner's budget.
+	pages := rt.pages
+	memLen := rt.memLen
 	stackBase, heapBase := rt.stackBase, rt.heapBase
 	obs := rt.cfg.Observer
 	checks := ff.Checks
@@ -154,7 +157,7 @@ dispatch:
 				addr := regs[in.A]
 				old := t.loadRaw(addr)
 				rt.rc.Barrier(t.tid, addr, old, regs[in.B])
-				t.markBarriered(addr)
+				rt.barriered.mark(addr)
 				t.nBarrier++
 			}
 
@@ -174,7 +177,7 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, false, t.locks, int(in.C))
 			}
-			regs[in.A] = atomic.LoadInt64(&mem[addr])
+			regs[in.A] = pages.load(addr)
 		case ir.FLoadChk:
 			addr := regs[in.B]
 			if addr <= 0 || addr >= memLen {
@@ -189,7 +192,7 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, false, t.locks, fc.Orig.Site)
 			}
-			regs[in.A] = atomic.LoadInt64(&mem[addr])
+			regs[in.A] = pages.load(addr)
 		case ir.FStoreAcc:
 			addr := regs[in.A]
 			if addr <= 0 || addr >= memLen {
@@ -202,7 +205,11 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, true, t.locks, int(in.C))
 			}
-			atomic.StoreInt64(&mem[addr], regs[in.B])
+			if p := pages[addr>>pageShift].Load(); p != nil {
+				atomic.StoreInt64(&p[addr&pageMask], regs[in.B])
+			} else {
+				pages.store(addr, regs[in.B])
+			}
 		case ir.FStoreChk:
 			addr := regs[in.A]
 			if addr <= 0 || addr >= memLen {
@@ -217,7 +224,11 @@ dispatch:
 			if obs != nil {
 				obs.Access(t.tid, addr, true, t.locks, fc.Orig.Site)
 			}
-			atomic.StoreInt64(&mem[addr], regs[in.B])
+			if p := pages[addr>>pageShift].Load(); p != nil {
+				atomic.StoreInt64(&p[addr&pageMask], regs[in.B])
+			} else {
+				pages.store(addr, regs[in.B])
+			}
 
 		case ir.FScast:
 			regs[in.A] = t.scastAt(regs[in.B], ff.Scasts[in.C])

@@ -68,15 +68,15 @@ type LP struct {
 
 	epoch atomic.Uint32 // low bit selects the live generation
 
-	// dirty[e] is a bitmap with one bit per memory cell; loggedOld[e][slot]
-	// is the value the slot held before its first update in epoch e. The
+	// chunks[e] pages generation e's per-slot state: each chunk holds the
+	// dirty bits of 4096 consecutive slots next to their logged values,
+	// the value each slot held before its first update in epoch e. The
 	// logged value is stored before the dirty bit is set, so any observer
-	// that sees the bit also sees the value. The logged-value store is
-	// chunked and allocated lazily: programs touch a small fraction of the
-	// address space, and eager full-memory arrays dominate startup cost.
-	dirty     [2][]atomic.Uint32
-	loggedOld [2][]atomic.Pointer[loggedChunk]
-	cells     int
+	// that sees the bit also sees the value. A chunk is allocated when one
+	// of its slots is first barriered: programs touch a small fraction of
+	// the address space, and reading an absent chunk allocates nothing.
+	chunks [2][]atomic.Pointer[chunk]
+	cells  int
 
 	// logs[e][tid] lists the slots thread tid dirtied in epoch e.
 	logs [2][MaxThreads + 1][]int64
@@ -95,68 +95,92 @@ type LP struct {
 	mem Memory
 }
 
-// loggedChunkShift sizes the lazy chunks of the logged-value store: 64Ki
-// cells (512 KiB) per chunk per generation.
-const loggedChunkShift = 16
+// chunkShift sizes the lazy chunks: 4096 slots, the interpreter's cell
+// page.
+const (
+	chunkShift = 12
+	chunkMask  = 1<<chunkShift - 1
+)
 
-type loggedChunk [1 << loggedChunkShift]atomic.Int64
+type chunk struct {
+	dirty  [1 << chunkShift / 32]atomic.Uint32
+	logged [1 << chunkShift]atomic.Int64
+}
 
 // NewLP returns an LP manager covering cells of memory.
 func NewLP(cells int, resolve Resolver) *LP {
-	words := (cells + 31) / 32
-	chunks := (cells >> loggedChunkShift) + 2
+	n := (cells + chunkMask) >> chunkShift
 	lp := &LP{resolve: resolve, cells: cells}
 	for e := 0; e < 2; e++ {
-		lp.dirty[e] = make([]atomic.Uint32, words+1)
-		lp.loggedOld[e] = make([]atomic.Pointer[loggedChunk], chunks)
+		lp.chunks[e] = make([]atomic.Pointer[chunk], n)
 	}
 	return lp
+}
+
+// chunkFor returns generation e's chunk holding slot, allocating it on
+// first touch.
+func (lp *LP) chunkFor(e int, slot int64) *chunk {
+	ci := slot >> chunkShift
+	ch := lp.chunks[e][ci].Load()
+	if ch == nil {
+		fresh := new(chunk)
+		if !lp.chunks[e][ci].CompareAndSwap(nil, fresh) {
+			ch = lp.chunks[e][ci].Load()
+		} else {
+			ch = fresh
+		}
+	}
+	return ch
 }
 
 // loggedCell returns the logged-value cell for slot in generation e,
 // allocating its chunk on first touch.
 func (lp *LP) loggedCell(e int, slot int64) *atomic.Int64 {
-	ci := slot >> loggedChunkShift
-	ch := lp.loggedOld[e][ci].Load()
+	return &lp.chunkFor(e, slot).logged[slot&chunkMask]
+}
+
+// dirtyWord returns the dirty-bit word holding slot in generation e, or
+// nil when its chunk was never touched (every bit clear).
+func (lp *LP) dirtyWord(e int, slot int64) *atomic.Uint32 {
+	ch := lp.chunks[e][slot>>chunkShift].Load()
 	if ch == nil {
-		fresh := new(loggedChunk)
-		if !lp.loggedOld[e][ci].CompareAndSwap(nil, fresh) {
-			ch = lp.loggedOld[e][ci].Load()
-		} else {
-			ch = fresh
-		}
+		return nil
 	}
-	return &ch[slot&(1<<loggedChunkShift-1)]
+	return &ch.dirty[(slot&chunkMask)/32]
 }
 
 func (lp *LP) dirtyTest(e int, slot int64) bool {
-	w := slot / 32
-	return lp.dirty[e][w].Load()&(1<<uint(slot%32)) != 0
+	w := lp.dirtyWord(e, slot)
+	return w != nil && w.Load()&(1<<uint(slot%32)) != 0
 }
 
+// dirtySet sets slot's dirty bit, allocating its chunk on first touch.
 func (lp *LP) dirtySet(e int, slot int64) bool {
-	w := slot / 32
+	w := &lp.chunkFor(e, slot).dirty[(slot&chunkMask)/32]
 	bit := uint32(1) << uint(slot%32)
 	for {
-		v := lp.dirty[e][w].Load()
+		v := w.Load()
 		if v&bit != 0 {
 			return false
 		}
-		if lp.dirty[e][w].CompareAndSwap(v, v|bit) {
+		if w.CompareAndSwap(v, v|bit) {
 			return true
 		}
 	}
 }
 
 func (lp *LP) dirtyClear(e int, slot int64) {
-	w := slot / 32
+	w := lp.dirtyWord(e, slot)
+	if w == nil {
+		return
+	}
 	bit := uint32(1) << uint(slot%32)
 	for {
-		v := lp.dirty[e][w].Load()
+		v := w.Load()
 		if v&bit == 0 {
 			return
 		}
-		if lp.dirty[e][w].CompareAndSwap(v, v&^bit) {
+		if w.CompareAndSwap(v, v&^bit) {
 			return
 		}
 	}

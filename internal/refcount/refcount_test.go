@@ -170,6 +170,31 @@ func TestLPConcurrentMutators(t *testing.T) {
 	}
 }
 
+// TestLPChunksOnFirstBarrier pins the lazy per-generation chunks: slots
+// on both sides of a chunk boundary count correctly, a chunk is allocated
+// only when one of its slots is barriered, and the collector's test of
+// the live generation's dirty bits allocates nothing.
+func TestLPChunksOnFirstBarrier(t *testing.T) {
+	mem := newFakeMem(3 << chunkShift)
+	lp := newLP(t, mem)
+	e := int(lp.epoch.Load() & 1)
+	mem.store(lp, 1, 1<<chunkShift-1, 32)
+	mem.store(lp, 1, 1<<chunkShift, 32)
+	if got := lp.Count(1, 32); got != 2 {
+		t.Fatalf("count = %d, want 2", got)
+	}
+	for ci := range lp.chunks[e] {
+		if allocated := lp.chunks[e][ci].Load() != nil; allocated != (ci < 2) {
+			t.Errorf("generation %d chunk %d allocated = %v", e, ci, allocated)
+		}
+	}
+	for ci := range lp.chunks[1-e] {
+		if lp.chunks[1-e][ci].Load() != nil {
+			t.Errorf("collecting allocated live-generation chunk %d", ci)
+		}
+	}
+}
+
 func TestNaiveCounts(t *testing.T) {
 	mem := newFakeMem(4096)
 	n := NewNaive(blockResolve)

@@ -287,9 +287,10 @@ func TestGracefulDrain(t *testing.T) {
 		status int
 		body   []byte
 	}
+	iters := drainIterations(t, base, 2*time.Second)
 	inflight := make(chan result, 1)
 	go func() {
-		st, _, b := post(t, base+"/run", map[string]any{"source": counter(8_000_000)})
+		st, _, b := post(t, base+"/run", map[string]any{"source": counter(iters)})
 		inflight <- result{st, b}
 	}()
 	waitFor(t, 5*time.Second, func() bool { return s.activeCount() == 1 })
@@ -301,6 +302,9 @@ func TestGracefulDrain(t *testing.T) {
 		drained <- s.Shutdown(ctx)
 	}()
 	waitFor(t, 5*time.Second, func() bool { return s.draining.Load() })
+	if s.activeCount() != 1 {
+		t.Fatal("the calibrated run finished before the drain started")
+	}
 
 	// New work is refused while the drain runs: either the listener is
 	// already closed (connection error) or the draining gate answers 503.
@@ -323,6 +327,25 @@ func TestGracefulDrain(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain did not finish cleanly: %v", err)
 	}
+}
+
+// drainIterations sizes a counter program to run for about target on this
+// host, build and detector included, from a timed cache-hit run of a short
+// one: long enough to stay in flight while a drain starts, short enough to
+// finish well inside the drain deadline.
+func drainIterations(t *testing.T, base string, target time.Duration) int {
+	t.Helper()
+	const probe = 100_000
+	req := map[string]any{"source": counter(probe)}
+	if st, _, b := post(t, base+"/run", req); st != http.StatusOK { // compile
+		t.Fatalf("calibration compile: %d %s", st, b)
+	}
+	start := time.Now()
+	if st, _, b := post(t, base+"/run", req); st != http.StatusOK {
+		t.Fatalf("calibration run: %d %s", st, b)
+	}
+	elapsed := max(time.Since(start), time.Millisecond)
+	return max(probe, int(float64(probe)*float64(target)/float64(elapsed)))
 }
 
 // TestDrainDeadlineInterruptsStragglers: a run that outlives the drain

@@ -179,6 +179,22 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
+// TestTracerStorageGrowsWithUse: a tracer's ring storage is sized by the
+// events appended, not by its capacity, so a short run under a large
+// ring (a serve request with slow capture armed) stays small.
+func TestTracerStorageGrowsWithUse(t *testing.T) {
+	tr := NewTracer(DefaultTraceCapacity, nil)
+	for i := 0; i < 300; i++ {
+		tr.Append(KindChkRead, 1, -1, int64(i), 0)
+	}
+	if c := cap(tr.events); c > 512 {
+		t.Fatalf("300 events hold storage for %d, want at most 512", c)
+	}
+	if ev := tr.Events(); len(ev) != 300 || ev[299].Addr != 299 || tr.Dropped() != 0 {
+		t.Fatalf("retained %d events, dropped %d", len(ev), tr.Dropped())
+	}
+}
+
 func TestTracerExportsWellFormed(t *testing.T) {
 	tr := NewTracer(16, []SiteInfo{{LValue: "x"}})
 	tr.SetSchedule(2)

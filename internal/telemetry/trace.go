@@ -105,8 +105,11 @@ type Event struct {
 // MergeTracers).
 type Tracer struct {
 	mu     sync.Mutex
-	events []Event
-	total  uint64
+	events []Event // grows to capacity, then wraps as a ring
+	// capacity is how many events the ring retains; its storage grows
+	// with use, so a short run does not pay for a full ring.
+	capacity int
+	total    uint64
 	// frozen marks a tracer produced by MergeTracers: events holds the
 	// retained window verbatim (not a ring), total counts pre-merge
 	// appends, and further appends are rejected.
@@ -127,7 +130,7 @@ func NewTracer(capacity int, info []SiteInfo) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	t := &Tracer{events: make([]Event, capacity), info: info}
+	t := &Tracer{capacity: capacity, info: info}
 	t.step.Store(-1)
 	return t
 }
@@ -149,7 +152,16 @@ func (t *Tracer) Append(kind Kind, tid, site int, addr, aux int64) {
 	}
 	t.mu.Lock()
 	e.Seq = t.total
-	t.events[t.total%uint64(len(t.events))] = e
+	if n := len(t.events); n < t.capacity {
+		if n == cap(t.events) {
+			grown := make([]Event, n, min(max(2*n, 256), t.capacity))
+			copy(grown, t.events)
+			t.events = grown
+		}
+		t.events = append(t.events, e)
+	} else {
+		t.events[t.total%uint64(n)] = e
+	}
 	t.total++
 	t.mu.Unlock()
 }
